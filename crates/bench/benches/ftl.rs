@@ -1,6 +1,6 @@
 //! FTL micro-benchmarks: write-path cost with and without GC pressure, the
 //! threshold-vs-idle trigger comparison that backs the GC ablation, and
-//! the hot-path table structures (paged mapping table, inline resident
+//! the hot-path table structures (paged mapping table, dense resident
 //! table) the replay loop leans on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -144,12 +144,17 @@ fn bench_tables(c: &mut Criterion) {
     });
 
     group.bench_function("resident_occupy_evict", |b| {
-        let mut residents = ResidentTable::new();
+        // Pages are programmed in order within the open block, and blocks
+        // open in turn, as `Pool::allocate_page` hands them out.
+        const BLOCKS: usize = 64;
+        const PAGES: usize = 1024;
+        let mut residents = ResidentTable::new(1, BLOCKS, PAGES);
         let mut i = 0u64;
         b.iter(|| {
             // One 8 KiB page: occupy with a pair, evict both (the second
-            // eviction drops the entry, keeping the table small).
-            let p = ppn(0, (i % 64) as usize, (i % 1024) as usize);
+            // eviction vacates the page for the next cycle over the blocks).
+            let n = i as usize;
+            let p = ppn(0, n / PAGES % BLOCKS, n % PAGES);
             i += 1;
             residents.occupy(p, &[Lpn(2 * i), Lpn(2 * i + 1)]);
             black_box(residents.evict(p, Lpn(2 * i)));

@@ -33,8 +33,8 @@
 //! fail the build on drift. When both arguments end in `.json` the diff
 //! instead parses them as JSON and compares every *numeric* leaf (by its
 //! dot-joined path) with the same relative tolerance — string leaves
-//! (hostnames, comments) are ignored, so `BENCH_scale.json`-style
-//! baseline files can be drift-checked directly.
+//! (hostnames, comments) are ignored, so JSON baselines (such as saved
+//! `perfbench` result lines) can be drift-checked directly.
 //!
 //! `repro profile <target>` replays `table4` or a single workload with
 //! the phase-accounting profiler armed (serial, `--jobs 1`) and prints a
@@ -790,7 +790,7 @@ fn numeric_leaves(value: &hps_obs::json::Value, path: &str, out: &mut Vec<(Strin
 }
 
 /// `repro diff a.json b.json`: compares the numeric leaves of two JSON
-/// files (e.g. `BENCH_scale.json` baselines) under a relative tolerance.
+/// files (e.g. saved `perfbench` result lines) under a relative tolerance.
 /// Exit codes match [`diff_summaries_cmd`].
 fn diff_json_cmd(path_a: &str, path_b: &str, tolerance: f64) -> i32 {
     let mut sides: Vec<std::collections::BTreeMap<String, f64>> = Vec::with_capacity(2);

@@ -247,13 +247,14 @@ impl Ftl {
         });
         // lint: allow(hot-path-alloc) -- constructor, runs once per device
         let garbage = vec![vec![0; config.pools.len()]; planes.len()];
+        let residents = ResidentTable::new(planes.len(), blocks_per_plane, config.pages_per_block);
         Ok(Ftl {
             config,
             planes,
             pools,
             garbage,
             mapping: MappingTable::new(),
-            residents: ResidentTable::new(),
+            residents,
             space: SpaceAccounting::new(),
             stats: FtlStats::default(),
             gc_scratch: GcScratch::default(),
@@ -1624,6 +1625,73 @@ mod tests {
         let lpns: Vec<Lpn> = (0..5).map(Lpn).collect();
         let (_, unmapped) = ftl.read_ops(&lpns);
         assert!(unmapped.is_empty());
+    }
+
+    /// Flash-`Valid` pages across every block of every plane.
+    fn valid_flash_pages(ftl: &Ftl) -> usize {
+        ftl.planes
+            .iter()
+            .flat_map(|plane| plane.iter())
+            .map(|(_, block)| block.valid_pages())
+            .sum()
+    }
+
+    #[test]
+    fn occupied_pages_track_valid_flash_through_gc_and_recovery() {
+        // Hybrid device with spares (recovery needs fault injection) but
+        // no injected failures, so every write lands.
+        let mut cfg = hybrid_config();
+        cfg.faults = FaultConfig {
+            seed: 3,
+            spare_blocks_per_pool: 1,
+            ..FaultConfig::NONE
+        };
+        let mut ftl = Ftl::new(cfg).unwrap();
+        // Overwrite six LPNs as 4 KiB singles and 8 KiB pairs on both
+        // planes: the small pools wrap many times, forcing GC cycles that
+        // migrate live pages, including half-live 8 KiB pages.
+        let write = |ftl: &mut Ftl, i: u64| {
+            let plane = (i % 2) as usize;
+            if i.is_multiple_of(3) {
+                let base = 2 * (i / 3 % 3);
+                ftl.write_chunk(
+                    plane,
+                    Bytes::kib(8),
+                    &[Lpn(base), Lpn(base + 1)],
+                    Bytes::kib(8),
+                )
+            } else {
+                ftl.write_chunk(plane, Bytes::kib(4), &[Lpn(i % 6)], Bytes::kib(4))
+            }
+        };
+        for i in 0..400u64 {
+            write(&mut ftl, i).unwrap();
+            assert_eq!(ftl.residents.occupied_pages(), valid_flash_pages(&ftl));
+        }
+        assert!(ftl.stats().gc_runs >= 10, "GC cycles were forced");
+
+        // Power off mid-stream, recover, and the rebuilt resident table
+        // still counts exactly the valid pages.
+        ftl.arm_crash(7).unwrap();
+        let mut crashed = false;
+        for i in 400..464u64 {
+            match write(&mut ftl, i) {
+                Ok(_) => {}
+                Err(Error::PowerLoss { .. }) => {
+                    crashed = true;
+                    break;
+                }
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        assert!(crashed, "armed crash must fire within a few writes");
+        let report = ftl.recover().unwrap();
+        assert!(report.read_only.is_none());
+        assert_eq!(ftl.residents.occupied_pages(), valid_flash_pages(&ftl));
+        for i in 464..600u64 {
+            write(&mut ftl, i).unwrap();
+            assert_eq!(ftl.residents.occupied_pages(), valid_flash_pages(&ftl));
+        }
     }
 
     #[test]

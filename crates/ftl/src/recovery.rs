@@ -288,7 +288,11 @@ impl Ftl {
         // and repair page validity to match. Everything not a winner is
         // garbage.
         self.mapping = MappingTable::new();
-        self.residents = ResidentTable::new();
+        self.residents = ResidentTable::new(
+            self.planes.len(),
+            self.planes[0].blocks_total(),
+            self.config.pages_per_block,
+        );
         for pi in 0..self.planes.len() {
             for bi in 0..self.planes[pi].blocks_total() {
                 let id = hps_nand::BlockId(bi);

@@ -1,7 +1,7 @@
 //! Property-based tests of the FTL: arbitrary write/overwrite workloads
 //! never lose data, never double-count space, and always leave the flash
 //! state consistent; and the hot-path table structures (paged
-//! [`MappingTable`], inline [`ResidentTable`]) behave exactly like their
+//! [`MappingTable`], dense [`ResidentTable`]) behave exactly like their
 //! plain-`HashMap` reference models under arbitrary operation sequences.
 
 use hps_core::hash::{FxHashMap, FxHashSet};
@@ -139,16 +139,25 @@ proptest! {
 
     #[test]
     fn resident_table_matches_reference_model(
-        // (op, page, pick, pair): occupy/occupy/evict/take against a
-        // FxHashMap<Ppn, Vec<Lpn>> model. Both sides use swap-remove
-        // semantics, so even the resident *order* must agree.
-        ops in prop::collection::vec((0u8..4, 0usize..32, 0usize..4, prop::bool::ANY), 1..300),
+        // (op, plane, block, page, pick, pair): occupy/occupy/evict/take/
+        // query against a FxHashMap<Ppn, Vec<Lpn>> model, over three
+        // planes and a sparse handful of a 256-block plane's blocks. Both
+        // sides use swap-remove semantics, so even the resident *order*
+        // must agree. 120 reachable pages under up to 400 ops: pages are
+        // taken and re-occupied (the erase-and-reuse cycle) many times.
+        ops in prop::collection::vec(
+            (0u8..5, 0usize..3, 0usize..5, 0usize..8, 0usize..4, prop::bool::ANY),
+            1..400,
+        ),
     ) {
-        let mut table = ResidentTable::new();
+        const BLOCKS: [usize; 5] = [0, 1, 17, 128, 255];
+        // Blocks no op reaches: never opened, so always empty.
+        const UNOPENED: [usize; 3] = [2, 100, 254];
+        let mut table = ResidentTable::new(3, 256, 8);
         let mut model: FxHashMap<Ppn, Vec<Lpn>> = FxHashMap::default();
         let mut next = 0u64;
-        for (op, page, pick, pair) in ops {
-            let p = ppn(0, page / 8, page % 8);
+        for (op, plane, block, page, pick, pair) in ops {
+            let p = ppn(plane, BLOCKS[block], page);
             match op {
                 0 | 1 => {
                     if let std::collections::hash_map::Entry::Vacant(slot) = model.entry(p) {
@@ -174,10 +183,14 @@ proptest! {
                         }
                     }
                 }
-                _ => {
+                3 => {
                     let taken = table.take(p);
                     let expected = model.remove(&p).unwrap_or_default();
                     prop_assert_eq!(&*taken, &expected[..]);
+                }
+                _ => {
+                    let expected = model.get(&p).map_or(&[][..], |l| &l[..]);
+                    prop_assert_eq!(table.residents(p), expected);
                 }
             }
             prop_assert_eq!(table.occupied_pages(), model.len());
@@ -185,6 +198,16 @@ proptest! {
         for (p, lpns) in &model {
             prop_assert_eq!(table.residents(*p), &lpns[..]);
         }
+        for plane in 0..3 {
+            for &block in &UNOPENED {
+                for page in [0, 7] {
+                    let p = ppn(plane, block, page);
+                    prop_assert_eq!(table.residents(p), &[][..]);
+                    prop_assert!(table.take(p).is_empty());
+                }
+            }
+        }
+        prop_assert_eq!(table.occupied_pages(), model.len());
     }
 
     #[test]
