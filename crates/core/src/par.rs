@@ -126,21 +126,24 @@ where
                     }
                     // Own deque first (back: most recently dealt,
                     // cache-warm), then steal from the fronts of the
-                    // others.
-                    let job = queues[w]
+                    // others. The own-deque guard is dropped before
+                    // stealing: a worker holding its lock while taking
+                    // another's deadlocks against that worker doing the
+                    // same.
+                    let own = queues[w]
                         .lock()
                         // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
                         .expect("job queue poisoned")
-                        .pop_back()
-                        .or_else(|| {
-                            (1..workers).find_map(|d| {
-                                queues[(w + d) % workers]
-                                    .lock()
-                                    // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
-                                    .expect("job queue poisoned")
-                                    .pop_front()
-                            })
-                        });
+                        .pop_back();
+                    let job = own.or_else(|| {
+                        (1..workers).find_map(|d| {
+                            queues[(w + d) % workers]
+                                .lock()
+                                // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
+                                .expect("job queue poisoned")
+                                .pop_front()
+                        })
+                    });
                     match job {
                         Some((i, item)) => match catch_unwind(AssertUnwindSafe(|| f(item))) {
                             Ok(result) => {
@@ -268,6 +271,23 @@ mod tests {
         });
         assert_eq!(out.len(), 50);
         assert_eq!(counter.load(Ordering::Relaxed), 50);
+    }
+
+    #[test]
+    fn workers_running_dry_together_do_not_deadlock() {
+        // Both workers empty their deques at about the same moment and go
+        // stealing from each other, over and over. A lock-order deadlock
+        // would hang, so a watchdog turns it into a failure.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..10_000 {
+                assert_eq!(par_map_jobs(2, vec![1u64, 2], |x| x), vec![1, 2]);
+            }
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("par_map_jobs deadlocked (or panicked)");
     }
 
     #[test]

@@ -16,8 +16,13 @@
 //!   measures the actual hit rate and steers the explicit re-access
 //!   probability to compensate, so the generated trace's localities match
 //!   the table to within sampling noise.
+//!
+//! The covered pages are a dense bitmap, one bit per 4 KiB page, grown on
+//! demand as requests reach higher addresses: a request costs one word
+//! update per 64 pages it covers, and a fresh-address scan reads one word
+//! per 64 covered pages it skips. The bitmap is at most one bit per page
+//! below the highest page touched — 512 KiB at the 16 GiB footprint cap.
 
-use hps_core::hash::FxHashSet;
 use hps_core::{Bytes, SimRng};
 
 /// Stateful address generator for one application stream.
@@ -37,8 +42,11 @@ pub struct AddressModel {
     history_cap: usize,
     /// Bump pointer for fresh addresses; always past every covered page.
     next_fresh: u64,
-    /// Every 4 KiB page touched so far (the measurement's ground truth).
-    covered: FxHashSet<u64>,
+    /// Every 4 KiB page touched so far (the measurement's ground truth):
+    /// bit `p % 64` of word `p / 64` is set once page `p` is covered.
+    covered: Vec<u64>,
+    /// Number of set bits in `covered`.
+    covered_pages: u64,
     /// Requests generated.
     total: u64,
     /// Requests that were sequential continuations.
@@ -81,7 +89,8 @@ impl AddressModel {
             history: Vec::new(),
             history_cap: 4096,
             next_fresh: 0,
-            covered: FxHashSet::default(),
+            covered: Vec::new(),
+            covered_pages: 0,
             total: 0,
             seq_count: 0,
             hit_count: 0,
@@ -129,17 +138,14 @@ impl AddressModel {
         if is_seq {
             self.seq_count += 1;
         }
-        if self.covered.contains(&(start / 4096)) {
+        if self.is_covered(start / 4096) {
             self.hit_count += 1;
         }
         self.total += 1;
 
         self.last_end = start + size.as_u64();
         self.next_fresh = self.next_fresh.max(self.last_end);
-        let pages = size.div_ceil(Bytes::kib(4));
-        for p in 0..pages {
-            self.covered.insert(start / 4096 + p);
-        }
+        self.cover(start / 4096, size.div_ceil(Bytes::kib(4)));
         if self.history.len() == self.history_cap {
             let slot = rng.uniform_u64(self.history_cap as u64) as usize;
             self.history[slot] = start;
@@ -158,22 +164,62 @@ impl AddressModel {
         if page > max_start_page {
             page = 0;
         }
-        // After a wrap the low region is covered; skip forward, at most one
-        // pass around the ring — and not at all once the whole footprint is
-        // covered (then truly fresh pages no longer exist).
-        if (self.covered.len() as u64) <= max_start_page {
-            let mut scanned = 0u64;
-            while self.covered.contains(&page) && scanned <= max_start_page {
-                page += 1;
-                scanned += 1;
-                if page > max_start_page {
-                    page = 0;
-                }
-            }
+        // After a wrap the low region is covered; skip forward to the first
+        // uncovered page, at most one pass around the ring `0..=max` (and
+        // stay put if the whole ring is covered) — and not at all once the
+        // whole footprint is covered (then truly fresh pages no longer exist).
+        if self.covered_pages <= max_start_page {
+            page = self
+                .first_uncovered(page, max_start_page)
+                .or_else(|| self.first_uncovered(0, max_start_page))
+                .unwrap_or(page);
         }
         let addr = page * 4096;
         self.next_fresh = addr;
         addr
+    }
+
+    /// `true` once page `page` has been covered.
+    fn is_covered(&self, page: u64) -> bool {
+        self.covered
+            .get((page / 64) as usize)
+            .is_some_and(|&word| word >> (page % 64) & 1 == 1)
+    }
+
+    /// The first uncovered page in `from..=to`, if any.
+    fn first_uncovered(&self, from: u64, to: u64) -> Option<u64> {
+        let mut page = from;
+        while page <= to {
+            let word = self.covered.get((page / 64) as usize).copied().unwrap_or(0);
+            // Uncovered pages of this word, from `page` on, as set bits.
+            let free = !word >> (page % 64);
+            if free != 0 {
+                let hit = page + u64::from(free.trailing_zeros());
+                return (hit <= to).then_some(hit);
+            }
+            page = (page / 64 + 1) * 64;
+        }
+        None
+    }
+
+    /// Marks `pages` pages from `first` on as covered, growing the bitmap
+    /// as needed and counting the pages that were not covered before.
+    fn cover(&mut self, first: u64, pages: u64) {
+        let end = first + pages;
+        let words = end.div_ceil(64) as usize;
+        if self.covered.len() < words {
+            self.covered.resize(words, 0);
+        }
+        let mut page = first;
+        while page < end {
+            let bit = page % 64;
+            let n = (end - page).min(64 - bit);
+            let mask = (u64::MAX >> (64 - n)) << bit;
+            let word = &mut self.covered[(page / 64) as usize];
+            self.covered_pages += u64::from((mask & !*word).count_ones());
+            *word |= mask;
+            page += n;
+        }
     }
 
     /// The configured footprint.
@@ -205,6 +251,7 @@ mod tests {
     use super::*;
     use hps_core::{Direction, IoRequest, SimTime};
     use hps_trace::{stats, Trace};
+    use std::collections::BTreeSet;
 
     fn run_trace(spatial: f64, temporal: f64, n: usize) -> Trace {
         let mut model = AddressModel::new(spatial, temporal, Bytes::gib(1));
@@ -306,6 +353,84 @@ mod tests {
             model.sample(&mut rng, Bytes::kib(4));
         }
         assert!(model.history.len() <= model.history_cap);
+    }
+
+    /// The page-by-page fresh-address scan over a reference set: the
+    /// chosen page, how many covered pages it skipped, and whether it
+    /// wrapped from the ring's end to page 0 while skipping.
+    fn reference_fresh(
+        covered: &BTreeSet<u64>,
+        next_fresh: u64,
+        stride: u64,
+        max_start_page: u64,
+    ) -> (u64, u64, bool) {
+        let mut page = next_fresh / 4096 + stride;
+        if page > max_start_page {
+            page = 0;
+        }
+        let (mut scanned, mut wrapped) = (0, false);
+        if covered.len() as u64 <= max_start_page {
+            while covered.contains(&page) && scanned <= max_start_page {
+                page += 1;
+                scanned += 1;
+                if page > max_start_page {
+                    page = 0;
+                    wrapped = true;
+                }
+            }
+        }
+        (page, scanned, wrapped)
+    }
+
+    #[test]
+    fn covered_bitmap_matches_reference_set() {
+        // Mixed sizes up to twice a 1 MiB footprint: re-accessed starts
+        // followed by larger requests cover pages past the footprint's
+        // end, and fresh draws scan and wrap a nearly full ring.
+        let footprint = Bytes::mib(1);
+        let sizes_kib = [4u64, 8, 16, 64, 256, 1024, 2048];
+        let weights = [400.0, 100.0, 50.0, 20.0, 4.0, 2.0, 1.0];
+        let (mut skips, mut wraps, mut past_end) = (0, 0, 0);
+        for seed in 0..64 {
+            let mut model = AddressModel::new(10.0, 20.0, footprint);
+            let mut covered = BTreeSet::new();
+            let mut rng = SimRng::seed_from(seed);
+            for _ in 0..200 {
+                let size = Bytes::kib(sizes_kib[rng.weighted_index(&weights)]);
+                let max_start_page = footprint.as_u64().saturating_sub(size.as_u64()) / 4096;
+                // Same draws as a fresh branch taken now would make.
+                let stride = rng.clone().uniform_range(1, 64);
+                let (want, skipped, wrapped) =
+                    reference_fresh(&covered, model.next_fresh, stride, max_start_page);
+                let fresh = model
+                    .clone()
+                    .fresh_address(&mut rng.clone(), max_start_page);
+                assert_eq!(fresh / 4096, want, "seed {seed}: fresh address");
+                skips += u64::from(skipped > 0);
+                wraps += u64::from(wrapped);
+
+                let hits = model.hit_count;
+                let start = model.sample(&mut rng, size);
+                let first = start / 4096;
+                let hit = covered.contains(&first);
+                assert_eq!(model.hit_count - hits, u64::from(hit), "seed {seed}: hit");
+                covered.extend(first..first + size.as_u64().div_ceil(4096));
+                assert_eq!(model.covered_pages, covered.len() as u64);
+                let last = *covered.last().expect("a request covers a page");
+                past_end += u64::from(last >= footprint.as_u64() / 4096);
+                for page in 0..last + 128 {
+                    assert_eq!(
+                        model.is_covered(page),
+                        covered.contains(&page),
+                        "page {page}"
+                    );
+                }
+            }
+        }
+        assert!(
+            skips > 0 && wraps > 0 && past_end > 0,
+            "edge cases not reached: {skips} skips, {wraps} wraps, {past_end} past the end"
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Turns an [`AppProfile`] into a concrete trace.
 
 use crate::profile::AppProfile;
-use hps_core::{Direction, IoRequest, SimRng, SimTime};
-use hps_trace::Trace;
+use crate::stream::stream;
+use hps_trace::{Trace, TraceSource};
 
 /// Generates the trace for one profile, deterministically from `seed`.
 ///
@@ -29,51 +29,12 @@ use hps_trace::Trace;
 /// Panics if the profile is internally inconsistent (fewer than two
 /// requests, impossible localities, or malformed size shapes).
 pub fn generate(profile: &AppProfile, seed: u64) -> Trace {
-    let mut rng = SimRng::seed_from(seed ^ name_tag(profile.name));
-    let read_sizes = profile.read_size_model();
-    let write_sizes = profile.write_size_model();
-    let arrivals = profile.arrival_model();
-    let mut addresses = profile.address_model();
-
+    let mut requests = stream(profile, seed, 1);
     let mut trace = Trace::new(profile.name);
-    let mut now = SimTime::ZERO;
-    // Table III's *Max Size* is the largest request actually observed in
-    // each trace; pin one mid-trace request to it so the reconstruction
-    // reproduces the column exactly.
-    let max_at = profile.num_reqs / 2;
-    for id in 0..profile.num_reqs {
-        if id > 0 {
-            now += arrivals.sample(&mut rng);
-        }
-        let direction = if rng.chance(profile.write_req_pct / 100.0) {
-            Direction::Write
-        } else {
-            Direction::Read
-        };
-        let size = if id == max_at {
-            hps_core::Bytes::kib(profile.max_kib)
-        } else {
-            match direction {
-                Direction::Read => read_sizes.sample(&mut rng),
-                Direction::Write => write_sizes.sample(&mut rng),
-            }
-        };
-        let lba = addresses.sample(&mut rng, size);
-        trace.push_request(IoRequest::new(id, now, direction, size, lba));
+    while let Some(request) = requests.next_request() {
+        trace.push_request(request);
     }
     trace
-}
-
-/// Stable per-name tag folded into the seed so different applications get
-/// decorrelated streams even under the same master seed.
-pub(crate) fn name_tag(name: &str) -> u64 {
-    // FNV-1a, enough to decorrelate seeds.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -17,6 +17,9 @@ const TAIL: [u64; 4] = [8, 16, 32, 64];
 pub struct SizeModel {
     /// `(size, weight)` entries; weights need not sum to 1.
     entries: Vec<(Bytes, f64)>,
+    /// The entries' weights in entry order, built once so that a draw
+    /// allocates nothing.
+    weights: Vec<f64>,
 }
 
 impl SizeModel {
@@ -39,7 +42,8 @@ impl SizeModel {
                 (Bytes::kib(kib), w)
             })
             .collect();
-        SizeModel { entries }
+        let weights = entries.iter().map(|&(_, w)| w).collect();
+        SizeModel { entries, weights }
     }
 
     /// Builds a Fig.-4-shaped model hitting three published targets:
@@ -128,8 +132,7 @@ impl SizeModel {
 
     /// Draws one request size.
     pub fn sample(&self, rng: &mut SimRng) -> Bytes {
-        let weights: Vec<f64> = self.entries.iter().map(|&(_, w)| w).collect();
-        self.entries[rng.weighted_index(&weights)].0
+        self.entries[rng.weighted_index(&self.weights)].0
     }
 
     /// The model's exact mean, in KiB.
