@@ -1,10 +1,11 @@
 //! FTL micro-benchmarks: write-path cost with and without GC pressure, the
 //! threshold-vs-idle trigger comparison that backs the GC ablation, and
-//! the hot-path table structures (paged mapping table, dense resident
+//! the hot-path table structures (flat mapping table, dense resident
 //! table) the replay loop leans on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hps_core::Bytes;
+use hps_emmc::SchemeKind;
 use hps_ftl::gc::GcTrigger;
 use hps_ftl::{Ftl, FtlConfig, Lpn, MappingTable, Ppn, ResidentTable};
 use hps_nand::{BlockId, Geometry, PageAddr};
@@ -103,12 +104,13 @@ fn bench_tables(c: &mut Criterion) {
     let mut group = c.benchmark_group("ftl_map");
     group.sample_size(20);
 
-    // A populated map shaped like a replayed trace: runs of consecutive
-    // LPNs in a handful of hot regions.
+    // A populated Table V map shaped like a replayed trace: runs of
+    // consecutive LPNs in a handful of hot regions.
     const MAPPED: u64 = 1 << 16;
-    let mut table = MappingTable::new();
+    let table_v = SchemeKind::Hps.table_v_ftl();
+    let mut table = MappingTable::for_config(&table_v);
     for i in 0..MAPPED {
-        // Eight regions spread across the logical space.
+        // Eight regions spread across the 8 Mi-LPN logical space.
         let lpn = (i % 8) * (1 << 20) + i / 8;
         table.remap(Lpn(lpn), ppn(0, (i / 1024) as usize, (i % 1024) as usize));
     }
@@ -125,15 +127,15 @@ fn bench_tables(c: &mut Criterion) {
     group.bench_function("lookup_miss", |b| {
         let mut i = 0u64;
         b.iter(|| {
-            // Far outside any mapped region.
-            let lpn = (1 << 30) + i % MAPPED;
+            // Inside capacity, half a region away from any mapped LPN.
+            let lpn = (i % 8) * (1 << 20) + (1 << 19) + (i / 8) % (MAPPED / 8);
             i += 1;
             black_box(table.lookup(Lpn(lpn)))
         });
     });
 
     group.bench_function("remap_overwrite", |b| {
-        let mut table = MappingTable::new();
+        let mut table = MappingTable::for_config(&table_v);
         let mut i = 0u64;
         b.iter(|| {
             let lpn = Lpn(i % 4096);

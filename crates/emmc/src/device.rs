@@ -192,7 +192,7 @@ impl EmmcDevice {
     pub fn new(config: DeviceConfig) -> Result<Self> {
         let ftl = Ftl::new(config.ftl.clone())?;
         let sched = ResourceSchedule::new(config.ftl.geometry, config.timing, config.channel_mode);
-        let logical_pages = ftl.logical_capacity().as_u64() / 4096;
+        let logical_pages = config.ftl.logical_pages();
         let plane_order = striped_plane_order(config.ftl.geometry);
         // lint: allow(hot-path-alloc) -- one-time construction, not steady state
         let plane_windows = vec![(SimTime::ZERO, 0u32); ftl.plane_count()];

@@ -222,4 +222,57 @@ mod tests {
             assert!(spec.setup(i).utilization == 0.7);
         }
     }
+
+    /// Every corner of the configuration's physical geometry, bad-block
+    /// spares included, survives the mapping table's 4-byte packing.
+    fn assert_geometry_round_trips(cfg: &hps_ftl::FtlConfig) {
+        use hps_ftl::{Lpn, MappingTable, Ppn};
+        use hps_nand::{BlockId, PageAddr};
+        cfg.validate().expect("valid config");
+        let mut table = MappingTable::for_config(cfg);
+        let last = (
+            cfg.geometry.planes_total() - 1,
+            cfg.blocks_per_plane() - 1,
+            cfg.pages_per_block - 1,
+        );
+        let mut lpn = table.capacity();
+        for plane in [0, last.0] {
+            for block in [0, last.1] {
+                for page in [0, last.2] {
+                    let ppn = Ppn {
+                        plane,
+                        addr: PageAddr {
+                            block: BlockId(block),
+                            page,
+                        },
+                    };
+                    // Count down from the last LPN of capacity.
+                    lpn -= 1;
+                    table.remap(Lpn(lpn), ppn);
+                    assert_eq!(table.lookup(Lpn(lpn)), Some(ppn), "{ppn}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_v_and_fleet_geometries_fit_the_mapping_table() {
+        let with_spares = |mut cfg: hps_ftl::FtlConfig| {
+            cfg.faults = hps_nand::FaultConfig {
+                spare_blocks_per_pool: 2,
+                ..hps_nand::FaultConfig::NONE
+            };
+            assert!(cfg.faults.enabled());
+            cfg
+        };
+        for scheme in SchemeKind::ALL {
+            assert_geometry_round_trips(&scheme.table_v_ftl());
+            assert_geometry_round_trips(&with_spares(scheme.table_v_ftl()));
+            for class in DEFAULT_GEOMETRIES {
+                let cfg = scheme.scaled_ftl(class.blocks_4k_equiv, class.pages_per_block);
+                assert_geometry_round_trips(&cfg);
+                assert_geometry_round_trips(&with_spares(cfg));
+            }
+        }
+    }
 }

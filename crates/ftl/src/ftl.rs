@@ -13,7 +13,7 @@
 
 use crate::addr::{FlashOp, Lpn, Ppn};
 use crate::gc::{self, GcScratch, GcTrigger};
-use crate::mapping::{MappingTable, ResidentTable};
+use crate::mapping::{packed_dims, MappingTable, ResidentTable};
 use crate::pool::Pool;
 use crate::recovery::FaultRuntime;
 use crate::space::SpaceAccounting;
@@ -49,8 +49,10 @@ impl FtlConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] if there are no pools, any pool is
-    /// empty, page sizes repeat, `pages_per_block` is zero, or the fault
-    /// profile is invalid.
+    /// empty, page sizes repeat, `pages_per_block` is zero, the fault
+    /// profile is invalid, or the physical pages (spares included) number
+    /// more than `u32::MAX`, the most a packed 4-byte mapping entry can
+    /// address.
     pub fn validate(&self) -> Result<()> {
         if self.pools.is_empty() {
             return Err(Error::InvalidConfig("at least one pool required".into()));
@@ -77,7 +79,44 @@ impl FtlConfig {
             seen.push(size);
         }
         self.faults.validate()?;
+        let dims = packed_dims(
+            self.geometry.planes_total(),
+            self.blocks_per_plane(),
+            self.pages_per_block,
+        );
+        if dims.is_none() {
+            return Err(Error::InvalidConfig(format!(
+                "more than {} physical pages: a mapping entry holds a 4-byte page number",
+                u32::MAX
+            )));
+        }
         Ok(())
+    }
+
+    /// Bad-block spares per pool and plane: `spare_blocks_per_pool` under
+    /// fault injection, none otherwise.
+    fn spares_per_pool(&self) -> usize {
+        if self.faults.enabled() {
+            self.faults.spare_blocks_per_pool
+        } else {
+            0
+        }
+    }
+
+    /// Physical blocks per plane, bad-block spares included (saturating,
+    /// so [`FtlConfig::validate`] can reject an overflowing count).
+    pub fn blocks_per_plane(&self) -> usize {
+        let spares = self.spares_per_pool();
+        self.pools
+            .iter()
+            .map(|&(_, count)| count.saturating_add(spares))
+            .fold(0, usize::saturating_add)
+    }
+
+    /// Logical 4 KiB pages the device addresses: its physical capacity
+    /// (see [`Ftl::logical_capacity`]) in LPNs.
+    pub fn logical_pages(&self) -> u64 {
+        Lpn::from_lba(self.physical_capacity().as_u64()).0
     }
 
     /// Physical capacity of the whole device.
@@ -152,6 +191,9 @@ pub struct Ftl {
     /// Reusable dedup list for [`Ftl::read_ops_into`] on small requests —
     /// a linear scan over a handful of `Ppn`s beats hashing them.
     read_seen_list: Vec<Ppn>,
+    /// Reusable per-request lookup results for [`Ftl::read_ops_into`];
+    /// cleared per call, capacity retained.
+    read_resolved: Vec<Option<Ppn>>,
     /// Fault-injection runtime; `None` when the configured profile is
     /// [`FaultConfig::NONE`], making the fault-free hot path one
     /// pointer-null test.
@@ -207,11 +249,7 @@ impl Ftl {
         // bad-block spares. They live at the tail of the plane's pool
         // segment, invisible to allocation (and to `physical_capacity`,
         // which reads `config.pools`) until a retirement adopts one.
-        let spares = if config.faults.enabled() {
-            config.faults.spare_blocks_per_pool
-        } else {
-            0
-        };
+        let spares = config.spares_per_pool();
         // Constructor-time allocation: runs once per device, never on the replay path.
         let plane_spec: Vec<(Bytes, usize)> = config
             .pools
@@ -231,7 +269,7 @@ impl Ftl {
                     .collect()
             })
             .collect();
-        let blocks_per_plane: usize = plane_spec.iter().map(|&(_, n)| n).sum();
+        let blocks_per_plane = config.blocks_per_plane();
         #[cfg(any(debug_assertions, feature = "sanitize"))]
         let shadow = ShadowFlash::new(
             config.geometry.planes_total(),
@@ -247,19 +285,21 @@ impl Ftl {
         });
         // lint: allow(hot-path-alloc) -- constructor, runs once per device
         let garbage = vec![vec![0; config.pools.len()]; planes.len()];
+        let mapping = MappingTable::for_config(&config);
         let residents = ResidentTable::new(planes.len(), blocks_per_plane, config.pages_per_block);
         Ok(Ftl {
             config,
             planes,
             pools,
             garbage,
-            mapping: MappingTable::new(),
+            mapping,
             residents,
             space: SpaceAccounting::new(),
             stats: FtlStats::default(),
             gc_scratch: GcScratch::default(),
             read_seen: FxHashSet::default(),
             read_seen_list: Vec::new(), // lint: allow(hot-path-alloc) -- constructor, runs once per device
+            read_resolved: Vec::new(), // lint: allow(hot-path-alloc) -- constructor, runs once per device
             faults,
             #[cfg(any(debug_assertions, feature = "sanitize"))]
             shadow,
@@ -560,12 +600,16 @@ impl Ftl {
         unmapped: &mut Vec<Lpn>,
     ) {
         let _prof = hps_obs::profile::phase(hps_obs::Phase::FtlRead);
-        for &lpn in lpns {
-            let mapped = {
-                // Map-lookup phase, separated from read-op construction.
-                let _prof_lookup = hps_obs::profile::phase(hps_obs::Phase::FtlMapLookup);
-                self.mapping.lookup(lpn)
-            };
+        // Resolve the whole request under one map-lookup scope, then build
+        // the read ops: a scope per LPN would read the clock twice per
+        // lookup and mostly time the timer.
+        let mut resolved = core::mem::take(&mut self.read_resolved);
+        resolved.clear();
+        {
+            let _prof_lookup = hps_obs::profile::phase(hps_obs::Phase::FtlMapLookup);
+            resolved.extend(lpns.iter().map(|&lpn| self.mapping.lookup(lpn)));
+        }
+        for (&lpn, &mapped) in lpns.iter().zip(&resolved) {
             match mapped {
                 Some(ppn) => {
                     #[cfg(any(debug_assertions, feature = "sanitize"))]
@@ -586,6 +630,7 @@ impl Ftl {
                 None => unmapped.push(lpn),
             }
         }
+        self.read_resolved = resolved;
     }
 
     /// Runs at most one idle-time GC pass per plane/pool (Implication 2).
@@ -1382,7 +1427,7 @@ mod tests {
                 ftl.write_chunk(0, Bytes::kib(8), &[a, Lpn(a.0 + 1)], Bytes::kib(8))
                     .unwrap();
             } else {
-                ftl.write_chunk(0, Bytes::kib(4), &[Lpn(100 + i % 6)], Bytes::kib(4))
+                ftl.write_chunk(0, Bytes::kib(4), &[Lpn(40 + i % 6)], Bytes::kib(4))
                     .unwrap();
             }
             check(&ftl);
@@ -1454,6 +1499,27 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_page_counts_past_u32() {
+        // 8 planes × 512 blocks × 2^20 pages = 2^32 pages, one more than a
+        // packed 4-byte mapping entry can address.
+        let mut c = FtlConfig {
+            geometry: Geometry::TABLE_V,
+            pools: vec![(Bytes::kib(4), 512)],
+            pages_per_block: 1 << 20,
+            ..tiny_config()
+        };
+        assert!(matches!(c.validate(), Err(Error::InvalidConfig(_))));
+        assert!(matches!(Ftl::new(c.clone()), Err(Error::InvalidConfig(_))));
+        // One block fewer per plane fits...
+        c.pools = vec![(Bytes::kib(4), 511)];
+        assert!(c.validate().is_ok());
+        // ...until fault-injection spares push it back over.
+        c.faults = faulty_config(0.0, 0.0, 1).faults;
+        assert_eq!(c.blocks_per_plane(), 513);
+        assert!(matches!(c.validate(), Err(Error::InvalidConfig(_))));
+    }
+
+    #[test]
     fn none_profile_allocates_no_runtime() {
         let ftl = Ftl::new(tiny_config()).unwrap();
         assert!(ftl.fault_stats().is_none());
@@ -1481,6 +1547,7 @@ mod tests {
         let (reads, unmapped) = ftl.read_ops(&lpns);
         assert!(unmapped.is_empty(), "re-drive lost data: {unmapped:?}");
         assert_eq!(reads.len(), 4);
+        #[cfg(any(debug_assertions, feature = "sanitize"))]
         enforce(ftl.audit_deep_verify());
     }
 
@@ -1515,6 +1582,7 @@ mod tests {
         }
         let (_, unmapped) = ftl.read_ops(&[Lpn(0), Lpn(1)]);
         assert!(unmapped.is_empty(), "retirement lost live data");
+        #[cfg(any(debug_assertions, feature = "sanitize"))]
         enforce(ftl.audit_deep_verify());
     }
 
@@ -1608,6 +1676,7 @@ mod tests {
             ftl.write_chunk(0, Bytes::kib(4), &[Lpn(i % 6)], Bytes::kib(4))
                 .unwrap();
         }
+        #[cfg(any(debug_assertions, feature = "sanitize"))]
         enforce(ftl.audit_deep_verify());
     }
 

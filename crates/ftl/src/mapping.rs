@@ -13,13 +13,18 @@
 //! be migrated by GC.
 //!
 //! Both tables sit on the replay hot path (every host chunk touches them
-//! several times), so neither uses a plain SipHash `HashMap`:
+//! several times), so both are flat arrays indexed by address, as SSDsim
+//! keeps its page-level map:
 //!
-//! * the mapping table is a **two-level paged direct map** — a hash of
-//!   lazily allocated fixed-size chunks. Traces are sparse across the
-//!   32 GiB logical space but dense within the regions they touch, so a
-//!   lookup is one cheap [`FxHashMap`] probe plus an array index, and a hot
-//!   run of consecutive LPNs shares one chunk;
+//! * the mapping table is a **flat directory** sized once from the
+//!   device's logical capacity: one entry per 512 LPNs (2 MiB of logical
+//!   space), each pointing at a lazily allocated chunk of packed 4-byte
+//!   physical page numbers (the flat `plane × block × page` index). A
+//!   lookup is two array indexes and no hash, and a hot run of
+//!   consecutive LPNs shares one chunk. A chunk is allocated on its first
+//!   mapping and kept after its LPNs are unmapped, so the table costs 8
+//!   bytes per directory entry plus 2 KiB for every chunk ever touched,
+//!   and an overwrite (unmap, then remap) never frees or reallocates;
 //! * the resident table is a **dense reverse map** indexed by physical
 //!   address, as SSDsim keeps each page's LPN in a per-page array: a flat
 //!   `[plane × block]` directory of per-block slabs, one 16-byte slot (two
@@ -32,8 +37,9 @@
 //!   replay, GC included, allocates nothing.
 
 use crate::addr::{Lpn, Ppn};
+use crate::ftl::FtlConfig;
 use core::ops::Deref;
-use hps_core::FxHashMap;
+use hps_nand::{BlockId, PageAddr};
 
 /// Log2 of the mapping chunk size: 512 LPN slots (= 2 MiB of logical
 /// space) per lazily allocated chunk.
@@ -43,76 +49,176 @@ const CHUNK_LEN: usize = 1 << CHUNK_BITS;
 /// Mask selecting the slot index within a chunk.
 const CHUNK_MASK: u64 = (CHUNK_LEN as u64) - 1;
 
-/// One lazily allocated run of 512 consecutive LPN slots.
+/// Marks an unmapped slot. No physical page packs to it: a table's page
+/// count is at most `u32::MAX`, so the largest packed index is one less.
+const UNMAPPED: u32 = u32::MAX;
+
+/// One run of 512 consecutive LPN slots, each a packed physical page
+/// number or [`UNMAPPED`].
+type Chunk = [u32; CHUNK_LEN];
+
+/// LPN → PPN map: a flat directory, one entry per 512 LPNs of logical
+/// capacity, of lazily allocated chunks of packed 4-byte physical page
+/// numbers. Sparse traces allocate only the chunks they touch; dense runs
+/// within a chunk are one array index apart.
+///
+/// An LPN at or past the capacity the table was built for can never be
+/// mapped: [`MappingTable::lookup`] and [`MappingTable::unmap`] read it as
+/// unmapped (`None`), and [`MappingTable::remap`] panics. The device
+/// folds every request into its logical capacity before it reaches the
+/// FTL, so only a direct caller can get there.
 #[derive(Clone, Debug)]
-struct Chunk {
-    slots: Box<[Option<Ppn>; CHUNK_LEN]>,
-    /// Mapped slots in this chunk; the chunk is freed when it hits zero.
-    live: u32,
-}
-
-impl Chunk {
-    fn empty() -> Self {
-        Chunk {
-            slots: Box::new([None; CHUNK_LEN]),
-            live: 0,
-        }
-    }
-}
-
-/// LPN → PPN map: a two-level paged direct map. Sparse traces allocate
-/// only the chunks they touch; dense runs within a chunk are one array
-/// index apart.
-#[derive(Clone, Debug, Default)]
 pub struct MappingTable {
-    chunks: FxHashMap<u64, Chunk>,
+    /// Logical pages addressable: LPNs `0..lpns` can be mapped.
+    lpns: u64,
+    planes: u32,
+    blocks_per_plane: u32,
+    pages_per_block: u32,
+    /// `chunks[lpn >> 9]`: that chunk's slots; `None` until one of its
+    /// LPNs is first mapped.
+    chunks: Vec<Option<Box<Chunk>>>,
     len: usize,
 }
 
 impl MappingTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty table for LPNs `0..lpns` over `planes` planes of
+    /// `blocks_per_plane` blocks of `pages_per_block` pages. Only the chunk
+    /// directory is allocated here; each chunk is allocated on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than `u32::MAX` physical pages (a
+    /// packed page number would not fit in 4 bytes; [`FtlConfig::validate`]
+    /// rejects such configurations first).
+    pub fn new(lpns: u64, planes: usize, blocks_per_plane: usize, pages_per_block: usize) -> Self {
+        let Some([planes, blocks_per_plane, pages_per_block]) =
+            packed_dims(planes, blocks_per_plane, pages_per_block)
+        else {
+            panic!(
+                "{planes} planes × {blocks_per_plane} blocks × {pages_per_block} pages \
+                 do not fit a 4-byte physical page number"
+            );
+        };
+        MappingTable {
+            lpns,
+            planes,
+            blocks_per_plane,
+            pages_per_block,
+            chunks: vec![None; lpns.div_ceil(CHUNK_LEN as u64) as usize],
+            len: 0,
+        }
+    }
+
+    /// An empty table sized for `config`: its logical capacity, and every
+    /// physical block including bad-block spares.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has more than `u32::MAX` physical pages
+    /// (see [`MappingTable::new`]).
+    pub fn for_config(config: &FtlConfig) -> Self {
+        Self::new(
+            config.logical_pages(),
+            config.geometry.planes_total(),
+            config.blocks_per_plane(),
+            config.pages_per_block,
+        )
+    }
+
+    /// Logical pages the table can map (LPNs `0..capacity`).
+    pub fn capacity(&self) -> u64 {
+        self.lpns
+    }
+
+    /// `ppn` as its flat `plane × block × page` index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ppn` lies outside the table's geometry.
+    #[inline]
+    fn pack(&self, ppn: Ppn) -> u32 {
+        assert!(
+            ppn.plane < self.planes as usize
+                && ppn.addr.block.0 < self.blocks_per_plane as usize
+                && ppn.addr.page < self.pages_per_block as usize,
+            "physical page {ppn} outside the mapping table"
+        );
+        (ppn.plane as u32 * self.blocks_per_plane + ppn.addr.block.0 as u32) * self.pages_per_block
+            + ppn.addr.page as u32
+    }
+
+    /// The physical page a slot holds, `None` for [`UNMAPPED`].
+    #[inline]
+    fn unpack(&self, packed: u32) -> Option<Ppn> {
+        if packed == UNMAPPED {
+            return None;
+        }
+        let block = packed / self.pages_per_block;
+        let page = packed - block * self.pages_per_block;
+        let plane = block / self.blocks_per_plane;
+        let block = block - plane * self.blocks_per_plane;
+        Some(Ppn {
+            plane: plane as usize,
+            addr: PageAddr {
+                block: BlockId(block as usize),
+                page: page as usize,
+            },
+        })
+    }
+
+    /// `lpn`'s packed slot, if its chunk was ever allocated.
+    #[inline]
+    fn packed(&self, lpn: Lpn) -> Option<u32> {
+        let chunk = self
+            .chunks
+            .get((lpn.0 >> CHUNK_BITS) as usize)?
+            .as_deref()?;
+        Some(chunk[(lpn.0 & CHUNK_MASK) as usize])
     }
 
     /// Current physical location of `lpn`, if it has ever been written.
+    /// `None` for an LPN past capacity.
     #[inline]
     pub fn lookup(&self, lpn: Lpn) -> Option<Ppn> {
-        self.chunks
-            .get(&(lpn.0 >> CHUNK_BITS))
-            .and_then(|c| c.slots[(lpn.0 & CHUNK_MASK) as usize])
+        self.unpack(self.packed(lpn)?)
     }
 
     /// Points `lpn` at `ppn`, returning the previous location if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpn` is at or past capacity, or `ppn` lies outside the
+    /// table's geometry.
     #[inline]
     pub fn remap(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
-        let chunk = self
-            .chunks
-            .entry(lpn.0 >> CHUNK_BITS)
-            .or_insert_with(Chunk::empty);
-        let prev = chunk.slots[(lpn.0 & CHUNK_MASK) as usize].replace(ppn);
-        if prev.is_none() {
-            chunk.live += 1;
+        assert!(
+            lpn.0 < self.lpns,
+            "{lpn} past the mapping table's {} logical pages",
+            self.lpns
+        );
+        let packed = self.pack(ppn);
+        let chunk = self.chunks[(lpn.0 >> CHUNK_BITS) as usize].get_or_insert_with(open_chunk);
+        let prev = core::mem::replace(&mut chunk[(lpn.0 & CHUNK_MASK) as usize], packed);
+        if prev == UNMAPPED {
             self.len += 1;
         }
-        prev
+        self.unpack(prev)
     }
 
     /// Removes the mapping for `lpn` (TRIM/discard), returning the old
-    /// location if any.
+    /// location if any. The chunk stays allocated. `None` for an LPN past
+    /// capacity.
     #[inline]
     pub fn unmap(&mut self, lpn: Lpn) -> Option<Ppn> {
-        let key = lpn.0 >> CHUNK_BITS;
-        let chunk = self.chunks.get_mut(&key)?;
-        let prev = chunk.slots[(lpn.0 & CHUNK_MASK) as usize].take();
-        if prev.is_some() {
-            chunk.live -= 1;
+        let chunk = self
+            .chunks
+            .get_mut((lpn.0 >> CHUNK_BITS) as usize)?
+            .as_deref_mut()?;
+        let prev = core::mem::replace(&mut chunk[(lpn.0 & CHUNK_MASK) as usize], UNMAPPED);
+        if prev != UNMAPPED {
             self.len -= 1;
-            if chunk.live == 0 {
-                self.chunks.remove(&key);
-            }
         }
-        prev
+        self.unpack(prev)
     }
 
     /// Number of mapped LPNs.
@@ -125,10 +231,33 @@ impl MappingTable {
         self.len == 0
     }
 
-    /// Chunks currently allocated (one per touched 2 MiB logical region).
+    /// Chunks allocated so far (one per 2 MiB logical region ever
+    /// touched). Walks the directory: for tests, not the hot path.
     pub fn allocated_chunks(&self) -> usize {
-        self.chunks.len()
+        self.chunks.iter().filter(|c| c.is_some()).count()
     }
+}
+
+/// The geometry as 4-byte dimensions, if its page count fits in `u32`.
+pub(crate) fn packed_dims(
+    planes: usize,
+    blocks_per_plane: usize,
+    pages_per_block: usize,
+) -> Option<[u32; 3]> {
+    let dims = [
+        u32::try_from(planes).ok()?,
+        u32::try_from(blocks_per_plane).ok()?,
+        u32::try_from(pages_per_block).ok()?,
+    ];
+    dims[0].checked_mul(dims[1])?.checked_mul(dims[2])?;
+    Some(dims)
+}
+
+/// A chunk, all slots unmapped. Outlined: it runs once per touched
+/// chunk over a table's lifetime.
+#[cold]
+fn open_chunk() -> Box<Chunk> {
+    Box::new([UNMAPPED; CHUNK_LEN])
 }
 
 /// The live residents of one physical page, stored inline: one or two
@@ -330,7 +459,6 @@ fn open_slab(pages_per_block: usize) -> Box<[Slot]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hps_nand::{BlockId, PageAddr};
 
     fn ppn(plane: usize, block: usize, page: usize) -> Ppn {
         Ppn {
@@ -342,9 +470,15 @@ mod tests {
         }
     }
 
+    /// 1,200 LPNs: two full chunks and a partial third. 2 planes of 4
+    /// blocks of 8 pages.
+    fn table() -> MappingTable {
+        MappingTable::new(1200, 2, 4, 8)
+    }
+
     #[test]
     fn mapping_remap_returns_old() {
-        let mut m = MappingTable::new();
+        let mut m = table();
         assert!(m.lookup(Lpn(5)).is_none());
         assert_eq!(m.remap(Lpn(5), ppn(0, 0, 0)), None);
         assert_eq!(m.remap(Lpn(5), ppn(0, 0, 1)), Some(ppn(0, 0, 0)));
@@ -354,7 +488,7 @@ mod tests {
 
     #[test]
     fn unmap_removes() {
-        let mut m = MappingTable::new();
+        let mut m = table();
         m.remap(Lpn(1), ppn(0, 0, 0));
         assert_eq!(m.unmap(Lpn(1)), Some(ppn(0, 0, 0)));
         assert_eq!(m.unmap(Lpn(1)), None);
@@ -362,26 +496,29 @@ mod tests {
     }
 
     #[test]
-    fn chunks_allocate_lazily_and_free_when_empty() {
-        let mut m = MappingTable::new();
+    fn chunks_allocate_lazily_and_stay_allocated() {
+        let mut m = table();
         assert_eq!(m.allocated_chunks(), 0);
-        // Two LPNs in the same 512-slot chunk, one far away.
+        // Two LPNs in the first 512-slot chunk, one in the partial last.
         m.remap(Lpn(3), ppn(0, 0, 0));
         m.remap(Lpn(510), ppn(0, 0, 1));
-        m.remap(Lpn(1 << 30), ppn(0, 0, 2));
+        m.remap(Lpn(1199), ppn(0, 0, 2));
         assert_eq!(m.allocated_chunks(), 2);
         assert_eq!(m.len(), 3);
-        m.unmap(Lpn(1 << 30));
-        assert_eq!(m.allocated_chunks(), 1, "empty chunk is freed");
+        m.unmap(Lpn(1199));
         m.unmap(Lpn(3));
         m.unmap(Lpn(510));
-        assert_eq!(m.allocated_chunks(), 0);
         assert!(m.is_empty());
+        assert_eq!(m.allocated_chunks(), 2, "an emptied chunk is kept");
+        // Mapping into a kept chunk allocates nothing new.
+        m.remap(Lpn(4), ppn(1, 3, 7));
+        assert_eq!(m.allocated_chunks(), 2);
+        assert_eq!(m.lookup(Lpn(4)), Some(ppn(1, 3, 7)));
     }
 
     #[test]
     fn chunk_boundaries_do_not_alias() {
-        let mut m = MappingTable::new();
+        let mut m = table();
         // LPNs 511 and 512 straddle a chunk boundary; 0 and 512 share a
         // slot index in different chunks.
         m.remap(Lpn(511), ppn(0, 1, 0));
@@ -391,6 +528,56 @@ mod tests {
         assert_eq!(m.lookup(Lpn(512)), Some(ppn(0, 2, 0)));
         assert_eq!(m.lookup(Lpn(0)), Some(ppn(0, 3, 0)));
         assert_eq!(m.len(), 3);
+    }
+
+    #[test]
+    fn every_geometry_corner_round_trips() {
+        let mut m = table();
+        let mut lpn = 0;
+        for plane in [0, 1] {
+            for block in [0, 3] {
+                for page in [0, 7] {
+                    let p = ppn(plane, block, page);
+                    m.remap(Lpn(lpn), p);
+                    assert_eq!(m.lookup(Lpn(lpn)), Some(p));
+                    lpn += 1;
+                }
+            }
+        }
+        assert_eq!(m.len(), 8);
+    }
+
+    #[test]
+    fn past_capacity_reads_unmapped() {
+        let mut m = table();
+        m.remap(Lpn(1199), ppn(1, 3, 7));
+        // 1200..1536 lie in the allocated last chunk; 1536 on lie past
+        // the directory.
+        for lpn in [1200, 1535, 1536, 1 << 30, u64::MAX] {
+            assert_eq!(m.lookup(Lpn(lpn)), None, "{lpn}");
+            assert_eq!(m.unmap(Lpn(lpn)), None, "{lpn}");
+        }
+        assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the mapping table")]
+    fn remap_past_capacity_panics() {
+        // 1200 would fit in the last chunk's slots, but not the capacity.
+        table().remap(Lpn(1200), ppn(0, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the mapping table")]
+    fn remap_outside_geometry_panics() {
+        // Block 4 of a 4-block plane would alias plane 1's block 0.
+        table().remap(Lpn(0), ppn(0, 4, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "4-byte physical page number")]
+    fn oversized_geometry_panics() {
+        MappingTable::new(1, 8, 1 << 20, 1 << 10);
     }
 
     #[test]

@@ -287,7 +287,7 @@ impl Ftl {
         // Pass 2: rebuild the mapping and resident tables from the winners
         // and repair page validity to match. Everything not a winner is
         // garbage.
-        self.mapping = MappingTable::new();
+        self.mapping = MappingTable::for_config(&self.config);
         self.residents = ResidentTable::new(
             self.planes.len(),
             self.planes[0].blocks_total(),

@@ -1,6 +1,6 @@
 //! Property-based tests of the FTL: arbitrary write/overwrite workloads
 //! never lose data, never double-count space, and always leave the flash
-//! state consistent; and the hot-path table structures (paged
+//! state consistent; and the hot-path table structures (flat
 //! [`MappingTable`], dense [`ResidentTable`]) behave exactly like their
 //! plain-`HashMap` reference models under arbitrary operation sequences.
 
@@ -110,19 +110,48 @@ proptest! {
 
     #[test]
     fn mapping_table_matches_reference_model(
-        // (op, raw lpn, plane, page): remap/remap/unmap/lookup over two
-        // sparse regions, each straddling a 512-slot chunk boundary.
-        ops in prop::collection::vec((0u8..4, 0u64..1200, 0usize..4, 0usize..512), 1..400),
+        // Capacities on, either side of, and between 512-slot chunk
+        // boundaries, including ones that are not a multiple of 512.
+        capacity in prop_oneof![
+            1 => Just(1u64),
+            1 => Just(511u64),
+            1 => Just(512u64),
+            1 => Just(1200u64),
+            4 => 1u64..3000,
+        ],
+        // (op, raw, plane, page): remap/remap/unmap/lookup inside capacity,
+        // then lookup/unmap past it. `raw` picks an LPN near the first or
+        // last LPN of capacity, near a chunk boundary, or anywhere.
+        ops in prop::collection::vec((0u8..5, 0u64..1 << 20, 0usize..4, 0usize..512), 1..400),
     ) {
-        let mut table = MappingTable::new();
+        let mut table = MappingTable::new(capacity, 4, 16, 32);
         let mut model: FxHashMap<u64, Ppn> = FxHashMap::default();
+        let mut touched_chunks: FxHashSet<u64> = FxHashSet::default();
         for (op, raw, plane, page) in ops {
-            let lpn = if raw < 600 { raw } else { (1 << 20) + (raw - 600) };
+            let (pick, r) = (raw % 4, raw / 4);
+            let lpn = match pick {
+                0 => r % capacity.min(4),
+                1 => capacity - 1 - r % capacity.min(4),
+                2 => {
+                    let edge = (r % (capacity / 512 + 1)) * 512;
+                    (edge + (r / 1024) % 4).saturating_sub(2).min(capacity - 1)
+                }
+                _ => r % capacity,
+            };
             let loc = ppn(plane, page / 32, page % 32);
             match op {
-                0 | 1 => prop_assert_eq!(table.remap(Lpn(lpn), loc), model.insert(lpn, loc)),
+                0 | 1 => {
+                    touched_chunks.insert(lpn / 512);
+                    prop_assert_eq!(table.remap(Lpn(lpn), loc), model.insert(lpn, loc));
+                }
                 2 => prop_assert_eq!(table.unmap(Lpn(lpn)), model.remove(&lpn)),
-                _ => prop_assert_eq!(table.lookup(Lpn(lpn)), model.get(&lpn).copied()),
+                3 => prop_assert_eq!(table.lookup(Lpn(lpn)), model.get(&lpn).copied()),
+                _ => {
+                    // Past capacity reads as unmapped and unmaps nothing.
+                    let past = Lpn(capacity + r);
+                    prop_assert_eq!(table.lookup(past), None);
+                    prop_assert_eq!(table.unmap(past), None);
+                }
             }
             prop_assert_eq!(table.len(), model.len());
             prop_assert_eq!(table.is_empty(), model.is_empty());
@@ -130,11 +159,10 @@ proptest! {
         for (&lpn, &loc) in &model {
             prop_assert_eq!(table.lookup(Lpn(lpn)), Some(loc));
         }
-        // Four 512-slot chunks cover both regions; empty chunks are freed.
-        prop_assert!(table.allocated_chunks() <= 4);
-        if model.is_empty() {
-            prop_assert_eq!(table.allocated_chunks(), 0);
-        }
+        // One chunk per touched 512-slot region, kept after its LPNs are
+        // unmapped.
+        prop_assert_eq!(table.allocated_chunks(), touched_chunks.len());
+        prop_assert_eq!(table.capacity(), capacity);
     }
 
     #[test]
